@@ -174,6 +174,7 @@ func main() {
 		usageErr("-store and -class only apply in -remote client mode")
 	}
 
+	var cpuFile *os.File
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -184,8 +185,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "mmbench: -cpuprofile: %v\n", err)
 			os.Exit(1)
 		}
-		defer pprof.StopCPUProfile()
-		defer f.Close()
+		cpuFile = f
 	}
 
 	cfg := multimap.ExperimentConfig{
@@ -210,7 +210,7 @@ func main() {
 		ids = multimap.ExperimentIDs()
 	}
 	// Experiment failures funnel through this instead of os.Exit so the
-	// profile defers above still flush their files.
+	// profiles below are still written.
 	exitCode := 0
 	for _, id := range ids {
 		start := time.Now()
@@ -251,6 +251,14 @@ func main() {
 		fmt.Printf("(%s in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 
+	if cpuFile != nil {
+		// StopCPUProfile flushes the profile; only then may its file close.
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "mmbench: -cpuprofile: %v\n", err)
+			exitCode = 1
+		}
+	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
 		if err != nil {
@@ -266,9 +274,6 @@ func main() {
 		}
 	}
 	if exitCode != 0 {
-		if *cpuProf != "" {
-			pprof.StopCPUProfile()
-		}
 		os.Exit(exitCode)
 	}
 }

@@ -172,18 +172,17 @@
 // partial-stats contract and the fairness effect; cmd/mmbench mirrors
 // the knobs as -exp serve -deadline/-aging and reports the deadline
 // session's ms/query plus cancelled/expired drop counts. With
-// background contexts and aging off, admission stays in submission
-// order — bit-identical to the pre-QoS engine.
+// background contexts and aging off, admission is in submission order.
 //
 // # Weighted-fair QoS classes and the partitioned cache
 //
-// WithFairShare(quantum) generalizes urgent-first into full
-// weighted-fair admission. Sessions declare a QoS class
-// (Store.BeginQoS, or WithQoS for the store's default session);
-// WithQoSClass(name, weight, urgent) registers each class's share.
-// Every admission pass runs deficit round-robin over the queued ops'
-// SIMULATED block cost: each backlogged class earns quantum × weight
-// blocks of credit, admits its ops FIFO while the credit covers them,
+// Admission is one deficit round-robin scheduler over the ops'
+// SIMULATED block cost: one FIFO lane by default, plus the urgent
+// front under WithDeadlineAging. WithFairShare(quantum) gives each QoS
+// class its own lane (sessions declare a class via Store.BeginQoS or
+// WithQoS; WithQoSClass(name, weight, urgent) registers its share),
+// and each backlogged class earns quantum × weight blocks of credit
+// per pass, admits its ops FIFO while the credit covers them,
 // and carries the unused deficit into the next pass (reset when the
 // class drains, so an idle class cannot hoard credit); admitted
 // classes are served cheapest group first, and a class whose op

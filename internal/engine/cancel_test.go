@@ -182,38 +182,6 @@ func TestCancelledWriteStillInvalidates(t *testing.T) {
 	}
 }
 
-// TestQoSGroups covers the admission classifier directly: aging off is
-// one batch in submission order; aging on carves deadline-carrying and
-// over-age ops into a front batch ordered by effective deadline.
-func TestQoSGroups(t *testing.T) {
-	now := time.Now()
-	mk := func(deadline time.Time, age time.Duration) *serviceOp {
-		return &serviceOp{kind: opChunk, deadline: deadline, enqueued: now.Add(-age)}
-	}
-	bulk1 := mk(time.Time{}, 0)
-	bulk2 := mk(time.Time{}, 0)
-	urgent := mk(now.Add(2*time.Millisecond), 0)
-	urgentSoon := mk(now.Add(time.Millisecond), 0)
-	aged := mk(time.Time{}, 50*time.Millisecond)
-
-	ops := []*serviceOp{bulk1, urgent, bulk2, aged, urgentSoon}
-	if g := qosGroups(ops, 0, now); len(g) != 1 || len(g[0]) != 5 {
-		t.Fatalf("aging off: got %d groups", len(g))
-	}
-	g := qosGroups(ops, 10*time.Millisecond, now)
-	if len(g) != 2 {
-		t.Fatalf("aging on: got %d groups, want urgent+bulk", len(g))
-	}
-	// Front batch: both deadline ops (soonest first) and the aged op
-	// (effective deadline enqueued+aging = now-40ms, the oldest of all).
-	if len(g[0]) != 3 || g[0][0] != aged || g[0][1] != urgentSoon || g[0][2] != urgent {
-		t.Fatalf("urgent batch wrong: %v", g[0])
-	}
-	if len(g[1]) != 2 || g[1][0] != bulk1 || g[1][1] != bulk2 {
-		t.Fatalf("bulk batch reordered")
-	}
-}
-
 // TestErrClosedSentinel: operations on a closed service fail fast with
 // ErrClosed (errors.Is), never panicking or hanging on the retired
 // loop.

@@ -107,44 +107,36 @@ func (s Stats) MsPerCell() float64 {
 	return s.TotalMs / float64(s.Cells)
 }
 
-// AddCompletions folds one served batch into the running totals.
+// AddCompletions folds one served read batch into the running totals.
 func (s *Stats) AddCompletions(comps []lvm.Completion, elapsed float64) {
-	for _, c := range comps {
-		s.Requests++
-		s.Cells += int64(c.Req.Count)
-		s.TotalMs += c.Cost.TotalMs()
-		s.CommandMs += c.Cost.CommandMs
-		s.SeekMs += c.Cost.SeekMs
-		s.RotateMs += c.Cost.RotateMs
-		s.TransferMs += c.Cost.TransferMs
-	}
-	s.ElapsedMs += elapsed
+	s.addCompletions(comps, elapsed, toCells)
 }
 
-// AddWriteCompletions folds one served write batch into the running
-// totals: same time accounting as reads, but blocks land in Writes
-// instead of Cells.
-func (s *Stats) AddWriteCompletions(comps []lvm.Completion, elapsed float64) {
-	for _, c := range comps {
-		s.Requests++
-		s.Writes += int64(c.Req.Count)
-		s.TotalMs += c.Cost.TotalMs()
-		s.CommandMs += c.Cost.CommandMs
-		s.SeekMs += c.Cost.SeekMs
-		s.RotateMs += c.Cost.RotateMs
-		s.TransferMs += c.Cost.TransferMs
-	}
-	s.ElapsedMs += elapsed
-}
+// blockSink names the counter a completion fold credits served blocks
+// to.
+type blockSink uint8
 
-// AddFlushCompletions folds one group-commit flush's attributed share
-// into the running totals: cost and request accounting like writes,
-// but no blocks land in Writes — the flushed blocks were already
-// counted there when the service absorbed the write ops that dirtied
-// them.
-func (s *Stats) AddFlushCompletions(comps []lvm.Completion, elapsed float64) {
+const (
+	toCells  blockSink = iota // reads
+	toWrites                  // write and COW-fault I/O
+	// toNone is a group-commit flush share: its blocks were already
+	// counted in Writes when the service absorbed the writes that
+	// dirtied them.
+	toNone
+)
+
+// addCompletions is the one completion fold behind every read, write
+// and flush path: each completion adds one request, its blocks to the
+// sink's counter, and its time split; elapsed is added once.
+func (s *Stats) addCompletions(comps []lvm.Completion, elapsed float64, sink blockSink) {
 	for _, c := range comps {
 		s.Requests++
+		switch sink {
+		case toCells:
+			s.Cells += int64(c.Req.Count)
+		case toWrites:
+			s.Writes += int64(c.Req.Count)
+		}
 		s.TotalMs += c.Cost.TotalMs()
 		s.CommandMs += c.Cost.CommandMs
 		s.SeekMs += c.Cost.SeekMs

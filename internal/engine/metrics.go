@@ -6,15 +6,15 @@ import (
 	"sync"
 )
 
-// QueueDepth reports how many operations are queued at the service
-// awaiting admission — the live backlog gauge behind the daemon's
-// metrics feed. It is a point-in-time snapshot under the service mutex
-// (two loads and a slice length), cheap enough to poll from a metrics
-// ticker without perturbing the admission path.
+// QueueDepth reports how many operations are awaiting admission — those
+// queued at the service plus those the fair scheduler deferred to a
+// later pass — the live backlog gauge behind the daemon's metrics feed.
+// It is a point-in-time snapshot under the service mutex, cheap enough
+// to poll from a metrics ticker without perturbing the admission path.
 func (s *Service) QueueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue)
+	return len(s.queue) + s.backlog
 }
 
 // LatencyRing is a lock-cheap ring of recent latency observations in

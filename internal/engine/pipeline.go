@@ -10,8 +10,10 @@ package engine
 //	          cache probe,      completion     cost attribution,
 //	          write-back)       queues)        replies)
 //
-// At Pipeline depth 0 (the default) the stages run in lockstep on the
-// loop goroutine, bit-identical to the pre-pipeline service. At depth
+// Every read batch takes the same plan path (dispatchSingle or
+// dispatchMerged); only the dispatch step differs with depth. At
+// Pipeline depth 0 (the default) the stages run in lockstep on the
+// loop goroutine and dispatch is one inline ServeBatch call. At depth
 // N >= 1 the dispatch stage fans each planned read batch out per
 // member drive to a persistent dispatcher goroutine (one per drive,
 // FIFO input queue), and the schedule stage keeps admitting and
@@ -150,19 +152,6 @@ func (s *Service) plOverlaps(reqs []lvm.Request) bool {
 	return false
 }
 
-// plOverlapsOps is plOverlaps over every op in a batch.
-func (s *Service) plOverlapsOps(items []*serviceOp) bool {
-	if len(s.pl.inflight) == 0 {
-		return false
-	}
-	for _, it := range items {
-		if s.plOverlaps(it.chunk.Reqs) {
-			return true
-		}
-	}
-	return false
-}
-
 // plDrain retires every in-flight batch in dispatch order — the
 // pipeline barrier. A no-op with nothing in flight, so barrier call
 // sites need no depth guard.
@@ -225,23 +214,14 @@ func (s *Service) plFinish(fb *flightBatch) {
 		}
 		n += len(p.comps)
 	}
-	if err != nil {
-		if fb.mp != nil {
-			fb.mp.fail(err)
-		} else {
-			fb.op.reply <- opResult{err: err}
+	var comps []lvm.Completion
+	if err == nil {
+		comps = make([]lvm.Completion, 0, n)
+		for i := range fb.parts {
+			comps = append(comps, fb.parts[i].comps...)
 		}
-		return
 	}
-	comps := make([]lvm.Completion, 0, n)
-	for i := range fb.parts {
-		comps = append(comps, fb.parts[i].comps...)
-	}
-	if fb.mp != nil {
-		s.finishMerged(fb.mp, comps, elapsed)
-		return
-	}
-	s.finishSingle(fb.op, fb.res, fb.issued, comps, elapsed)
+	s.complete(fb, comps, elapsed, err)
 }
 
 // plPartition splits a request list into per-drive sub-batches in
@@ -337,67 +317,83 @@ func (s *Service) plShutdown() {
 	s.pl.running = 0
 }
 
-// dispatchSingle plans a lone read chunk and fans it out to the
-// per-drive dispatchers. Returns false when the batch must be served
-// inline (unlocatable address at partition time — the depth-0 path
-// surfaces the error identically).
-func (s *Service) dispatchSingle(depth int, op *serviceOp) bool {
+// dispatchSingle is a lone read chunk's plan path: stall behind any
+// in-flight batch it overlaps, probe the cache, and dispatch the
+// survivors as the requests the planner chose, under the chunk's own
+// policy, with no re-coalescing. With the cache off and at depth 0
+// this is bit-identical to the synchronous engine.
+func (s *Service) dispatchSingle(depth int, op *serviceOp) {
 	if s.plOverlaps(op.chunk.Reqs) {
 		s.plDrain()
 	}
 	var res opResult
-	kept := s.planSingle(op, &res, nil)
+	kept := s.planSingle(op, &res, depth == 0)
 	if len(kept) == 0 {
 		s.finishSingle(op, res, 0, nil, 0)
-		return true
+		return
 	}
-	parts, drives, ok := s.plPartition(kept)
-	if !ok {
-		// An address ServeBatch will reject: serve inline so the error
-		// surfaces now. Inline I/O needs the barrier.
-		s.plDrain()
-		comps, elapsed, err := s.vol.ServeBatch(kept, op.policy)
-		if err != nil {
-			op.reply <- opResult{err: err}
-			return true
-		}
-		s.finishSingle(op, res, len(kept), comps, elapsed)
-		return true
-	}
-	fb := &flightBatch{op: op, res: res, issued: len(kept), spans: spansOf(kept)}
-	s.plLaunch(depth, fb, parts, drives, op.policy)
-	return true
+	s.dispatch(depth, flightBatch{op: op, res: res, issued: len(kept)}, kept, op.policy)
 }
 
-// dispatchMerged plans one multi-chunk read batch and fans its
-// coalesced extents out to the per-drive dispatchers. Always handles
-// the batch (planning failures reply inline, exactly as at depth 0).
+// dispatchMerged is a multi-chunk read batch's plan path: stall behind
+// any in-flight batch it overlaps, coalesce the chunks' requests across
+// queries into shared extents, and dispatch those.
 func (s *Service) dispatchMerged(depth int, items []*serviceOp) {
-	if s.plOverlapsOps(items) {
-		s.plDrain()
+	for _, it := range items {
+		if s.plOverlaps(it.chunk.Reqs) {
+			s.plDrain()
+			break
+		}
 	}
-	// The plan state must survive until completion alongside other
-	// in-flight merged batches, so it gets its own scratch.
-	mp, ok := s.planMerged(append([]*serviceOp(nil), items...), &mergeScratch{})
-	if !ok {
+	mp := &s.scratch.merge
+	if depth > 0 {
+		// The plan must survive until completion alongside other
+		// in-flight merged batches, so it gets its own buffers.
+		items, mp = append([]*serviceOp(nil), items...), &mergedPlan{}
+	}
+	if !s.planMerged(items, mp) {
 		return // planMerged already replied with the error
 	}
-	if len(mp.sc.reqs) == 0 {
+	if len(mp.reqs) == 0 {
 		s.finishMerged(mp, nil, 0)
 		return
 	}
-	parts, drives, ok := s.plPartition(mp.sc.reqs)
-	if !ok {
-		// Unreachable in practice: planMerged located every extent.
-		s.plDrain()
-		comps, elapsed, err := s.vol.ServeBatch(mp.sc.reqs, mp.policy)
-		if err != nil {
-			mp.fail(err)
+	s.dispatch(depth, flightBatch{mp: mp}, mp.reqs, mp.policy)
+}
+
+// dispatch is a planned batch's dispatch step. At depth 0 it serves
+// the unpartitioned requests inline with one ServeBatch call, keeping
+// completion order and float sums bit-identical to the synchronous
+// engine. At depth > 0 it fans them out to the per-drive dispatchers,
+// unless a request fails to locate: then the batch is served inline
+// behind a pipeline barrier, so the error surfaces as at depth 0.
+func (s *Service) dispatch(depth int, fb flightBatch, reqs []lvm.Request, policy disk.SchedPolicy) {
+	if depth > 0 {
+		if parts, drives, ok := s.plPartition(reqs); ok {
+			p := new(flightBatch)
+			*p = fb
+			p.spans = spansOf(reqs)
+			s.plLaunch(depth, p, parts, drives, policy)
 			return
 		}
-		s.finishMerged(mp, comps, elapsed)
-		return
+		s.plDrain()
 	}
-	fb := &flightBatch{mp: mp, spans: spansOf(mp.sc.reqs)}
-	s.plLaunch(depth, fb, parts, drives, mp.policy)
+	comps, elapsed, err := s.vol.ServeBatch(reqs, policy)
+	s.complete(&fb, comps, elapsed, err)
+}
+
+// complete is a served batch's completion stage, inline or pipelined:
+// reply the error to every op of a failed batch, otherwise hand the
+// completions to the plan's finish path.
+func (s *Service) complete(fb *flightBatch, comps []lvm.Completion, elapsed float64, err error) {
+	switch {
+	case err != nil && fb.mp != nil:
+		fb.mp.fail(err)
+	case err != nil:
+		fb.op.reply <- opResult{err: err}
+	case fb.mp != nil:
+		s.finishMerged(fb.mp, comps, elapsed)
+	default:
+		s.finishSingle(fb.op, fb.res, fb.issued, comps, elapsed)
+	}
 }

@@ -1,40 +1,45 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 )
 
-// Weighted fair QoS admission. Sessions declare a QoS class
-// (SessionOptions.Class); the service registers classes with weights
-// (ServiceOptions.Classes / SetFairShare). When FairQuantum is
-// positive the admission batcher runs deficit round-robin over
-// simulated block cost: each admission pass grants every class with
-// pending work quantum × weight blocks of credit (deficits carry
-// across passes while the class stays backlogged, and reset when its
-// backlog drains, the classic DRR anti-hoarding rule), admits each
-// class's ops FIFO while its credit covers their block cost, and
-// serves every class's grant as its own admission batch — ops of
-// different classes are never coalesced into one disk batch, so one
-// class's bulk scan cannot ride ahead inside another's batch. Ops a
-// pass could not afford stay queued for the next pass; the loop keeps
-// making passes (each granting fresh credit, and always admitting at
-// least one op when anything is pending, so a single op costlier than
-// its class's whole grant still goes) until the backlog drains.
+// Admission scheduling. Every admission pass goes through one
+// deficit-round-robin scheduler (drrSched); the service options pick
+// its lanes, its credit and whether it runs an urgent front.
 //
-// PR 5's urgent-front behavior is the strict-priority edge of the same
-// scheduler: ops with an explicit context deadline, ops of a class
-// registered Urgent, and ops queued at least the DeadlineAging
-// duration bypass DRR entirely and are served first, as their own
-// batch ordered by effective deadline — aging therefore promotes a
-// starving bulk op into the urgent class, which bounds how long
-// weighted sharing may defer anyone. Urgent service is not charged
-// against the class's deficit.
+// Lanes. With FairQuantum positive each QoS class (SessionOptions.Class,
+// registered with a weight via ServiceOptions.Classes / SetFairShare)
+// is a lane of its own. Otherwise all ops share one lane, so ops of
+// different classes still coalesce into one disk batch.
 //
-// With FairQuantum 0 the DRR machinery is never engaged: admission
-// degenerates to exactly the PR 5 behavior (DeadlineAging on) or the
-// pre-QoS submission order (aging off), bit for bit.
+// Credit. With FairQuantum positive each pass grants every backlogged
+// lane quantum × weight blocks of credit (deficits carry across passes
+// while the lane stays backlogged, and reset when its backlog drains,
+// the classic DRR anti-hoarding rule), admits the lane's ops FIFO while
+// its credit covers their simulated block cost, and serves every
+// lane's grant as its own admission batch: ops of different classes
+// are never coalesced, so one class's bulk scan cannot ride ahead
+// inside another's batch. Ops a pass could not afford stay in the
+// backlog for the next pass; the loop keeps making passes (each
+// granting fresh credit, each after the BatchWindow when one is set,
+// and always admitting at least one op when anything is pending, so a
+// single op costlier than its class's whole grant still goes) until
+// the backlog drains. With FairQuantum 0 a lane's credit is unbounded:
+// each pass admits the whole backlog in submission order, which is
+// plain FIFO admission.
+//
+// Urgent front. When FairQuantum or DeadlineAging is positive, each
+// pass first serves the urgent ops as their own batch, ordered by
+// effective deadline and ahead of every lane's grant: ops with an
+// explicit context deadline, ops queued at least the DeadlineAging
+// duration, and (under fair share only) ops of a class registered
+// Urgent. Aging therefore promotes a starving deferred op into the
+// urgent front, which bounds how long weighted sharing may defer
+// anyone. Urgent service is not charged against the lane's deficit.
 
 // QoSClass declares one admission class.
 type QoSClass struct {
@@ -79,12 +84,18 @@ func opCost(op *serviceOp) int64 {
 	return n
 }
 
-// drrSched is the loop-owned deficit-round-robin state: per-class FIFO
+// drrSched is the loop-owned deficit-round-robin state: per-lane FIFO
 // backlogs and credit counters. Only the service loop touches it.
 type drrSched struct {
 	pending map[string][]*serviceOp
 	deficit map[string]int64
 	count   int
+	// lanes, urgent and groups are per-pass results reused across
+	// passes, so the admission hot path allocates nothing in steady
+	// state. Each is valid until the next call that returns it.
+	lanes  []string
+	urgent []*serviceOp
+	groups [][]*serviceOp
 }
 
 func newDRRSched() *drrSched {
@@ -94,39 +105,45 @@ func newDRRSched() *drrSched {
 	}
 }
 
-// push appends ops to their classes' backlogs in submission order.
-func (d *drrSched) push(ops []*serviceOp) {
+// push appends ops to their lanes in submission order: one lane per
+// class under fair share, one shared lane otherwise.
+func (d *drrSched) push(ops []*serviceOp, fair bool) {
 	for _, op := range ops {
-		d.pending[op.class] = append(d.pending[op.class], op)
+		lane := ""
+		if fair {
+			lane = op.class
+		}
+		d.pending[lane] = append(d.pending[lane], op)
 		d.count++
 	}
 }
 
-// activeClasses returns the backlogged class names in sorted order —
-// the deterministic round-robin sequence.
-func (d *drrSched) activeClasses() []string {
-	names := make([]string, 0, len(d.pending))
+// activeLanes returns the backlogged lanes in sorted order — the
+// deterministic round-robin sequence.
+func (d *drrSched) activeLanes() []string {
+	d.lanes = d.lanes[:0]
 	for name, q := range d.pending {
 		if len(q) > 0 {
-			names = append(names, name)
+			d.lanes = append(d.lanes, name)
 		}
 	}
-	sort.Strings(names)
-	return names
+	slices.Sort(d.lanes)
+	return d.lanes
 }
 
 // takeUrgent pulls every backlogged op that has become urgent — aged
-// past the aging cap, holding an explicit deadline, or in an Urgent
-// class — out of the class backlogs, preserving order within each
-// class. This is how aging promotes a DRR-deferred op into the urgent
-// class.
+// past the aging cap, holding an explicit deadline, or in a class that
+// classes registers Urgent — out of the lanes, in lane order and
+// preserving order within each lane. This is how aging promotes a
+// DRR-deferred op into the urgent front.
 func (d *drrSched) takeUrgent(classes map[string]QoSClass, aging time.Duration, now time.Time) []*serviceOp {
-	var urgent []*serviceOp
-	for name, q := range d.pending {
+	d.urgent = d.urgent[:0]
+	for _, name := range d.activeLanes() {
+		q := d.pending[name]
 		kept := q[:0]
 		for _, op := range q {
 			if isUrgent(op, classes, aging, now) {
-				urgent = append(urgent, op)
+				d.urgent = append(d.urgent, op)
 				d.count--
 			} else {
 				kept = append(kept, op)
@@ -134,53 +151,61 @@ func (d *drrSched) takeUrgent(classes map[string]QoSClass, aging time.Duration, 
 		}
 		d.pending[name] = kept
 	}
-	return urgent
+	return d.urgent
 }
 
-// grant runs one DRR round: every backlogged class earns quantum ×
+// grant runs one DRR round: every backlogged lane earns quantum ×
 // weight credit, then admits ops FIFO while the credit covers their
-// block cost. A class whose backlog drains forfeits its leftover
-// credit. When a full round admits nothing (every class's head op
-// costs more than its accumulated credit), rounds repeat until one op
-// is admitted — progress per pass is guaranteed. Returns the admitted
-// ops grouped per class, cheapest group first: groups are served
-// sequentially within the pass, so a light latency-sensitive group
-// (an interactive class's point reads) completes ahead of a heavy
-// scan group's simulation instead of waiting it out, at the cost of
-// delaying the heavy group by only the light groups' small service
-// time. Ties break on class name, keeping the order deterministic.
+// block cost; a quantum of 0 is unbounded credit, admitting the whole
+// backlog. A lane whose backlog drains forfeits its leftover credit.
+// When a full round admits nothing (every lane's head op costs more
+// than its accumulated credit), rounds repeat until one op is admitted
+// — progress per pass is guaranteed. Returns the admitted ops grouped
+// per lane, cheapest group first: groups are served sequentially
+// within the pass, so a light latency-sensitive group (an interactive
+// class's point reads) completes ahead of a heavy scan group's
+// simulation instead of waiting it out, at the cost of delaying the
+// heavy group by only the light groups' small service time. Ties break
+// on class name, keeping the order deterministic.
 func (d *drrSched) grant(classes map[string]QoSClass, quantum int64) [][]*serviceOp {
+	d.groups = d.groups[:0]
 	if d.count == 0 {
 		return nil
 	}
-	var groups [][]*serviceOp
-	for len(groups) == 0 {
-		for _, name := range d.activeClasses() {
-			d.deficit[name] += quantum * classWeight(classes, name)
+	for len(d.groups) == 0 {
+		for _, name := range d.activeLanes() {
 			q := d.pending[name]
-			n := 0
-			for n < len(q) && opCost(q[n]) <= d.deficit[name] {
-				d.deficit[name] -= opCost(q[n])
-				n++
+			n := len(q)
+			if quantum > 0 {
+				d.deficit[name] += quantum * classWeight(classes, name)
+				n = 0
+				for n < len(q) && opCost(q[n]) <= d.deficit[name] {
+					d.deficit[name] -= opCost(q[n])
+					n++
+				}
 			}
-			if n > 0 {
-				groups = append(groups, q[:n:n])
+			if n == 0 {
+				continue
+			}
+			d.groups = append(d.groups, q[:n:n])
+			d.count -= n
+			if n < len(q) {
 				d.pending[name] = q[n:]
-				d.count -= n
+				continue
 			}
-			if len(d.pending[name]) == 0 {
-				d.deficit[name] = 0
-			}
+			// Drained: the next push reuses the backing array, which
+			// the group above only reads until this pass has served it.
+			d.pending[name] = q[:0]
+			d.deficit[name] = 0
 		}
 	}
-	sort.SliceStable(groups, func(i, j int) bool {
-		ci, cj := groupCost(groups[i]), groupCost(groups[j])
-		if ci != cj {
-			return ci < cj
+	slices.SortStableFunc(d.groups, func(a, b []*serviceOp) int {
+		if c := cmp.Compare(groupCost(a), groupCost(b)); c != 0 {
+			return c
 		}
-		return groups[i][0].class < groups[j][0].class
+		return strings.Compare(a[0].class, b[0].class)
 	})
-	return groups
+	return d.groups
 }
 
 // groupCost is one admitted group's total simulated block cost.
@@ -192,8 +217,8 @@ func groupCost(group []*serviceOp) int64 {
 	return sum
 }
 
-// drain empties every backlog — ops grouped per class in sorted class
-// order, FIFO within each class — forfeiting all credit. Used before
+// drain empties every backlog — ops grouped per lane in sorted lane
+// order, FIFO within each lane — forfeiting all credit. Used before
 // control-op barriers and on close, where deferral would reorder ops
 // across a barrier or strand submitters.
 func (d *drrSched) drain() [][]*serviceOp {
@@ -201,7 +226,7 @@ func (d *drrSched) drain() [][]*serviceOp {
 		return nil
 	}
 	var groups [][]*serviceOp
-	for _, name := range d.activeClasses() {
+	for _, name := range d.activeLanes() {
 		groups = append(groups, d.pending[name])
 		d.pending[name] = nil
 		d.deficit[name] = 0
@@ -211,7 +236,8 @@ func (d *drrSched) drain() [][]*serviceOp {
 }
 
 // isUrgent classifies one op for the strict-priority front: explicit
-// context deadline, Urgent class, or queued at least the aging cap.
+// context deadline, a class classes registers Urgent, or queued at
+// least the aging cap.
 func isUrgent(op *serviceOp, classes map[string]QoSClass, aging time.Duration, now time.Time) bool {
 	if !op.deadline.IsZero() {
 		return true
@@ -224,8 +250,7 @@ func isUrgent(op *serviceOp, classes map[string]QoSClass, aging time.Duration, n
 
 // sortUrgent orders the urgent front batch by effective deadline: the
 // explicit context deadline when present, otherwise enqueue time plus
-// the aging cap (plain enqueue time when aging is off) — PR 5's
-// ordering, extended to Urgent-class ops.
+// the aging cap (plain enqueue time when aging is off).
 func sortUrgent(ops []*serviceOp, aging time.Duration) {
 	eff := func(op *serviceOp) time.Time {
 		if !op.deadline.IsZero() {

@@ -37,7 +37,7 @@ func groupClasses(groups [][]*serviceOp) []string {
 func TestDRRDeficitCarry(t *testing.T) {
 	classes := map[string]QoSClass{}
 	d := newDRRSched()
-	d.push([]*serviceOp{drrOp("a", 8), drrOp("a", 8), drrOp("b", 4)})
+	d.push([]*serviceOp{drrOp("a", 8), drrOp("a", 8), drrOp("b", 4)}, true)
 
 	// Pass 1, quantum 10: a affords one 8-cost op (deficit 2 carries),
 	// b affords its whole 4-cost backlog and resets to 0 on drain.
@@ -81,7 +81,7 @@ func TestDRRWeightedShare(t *testing.T) {
 	}
 	d := newDRRSched()
 	for i := 0; i < 4; i++ {
-		d.push([]*serviceOp{drrOp("light", 10), drrOp("heavy", 10)})
+		d.push([]*serviceOp{drrOp("light", 10), drrOp("heavy", 10)}, true)
 	}
 	groups := d.grant(classes, 10)
 	admitted := map[string]int{}
@@ -98,7 +98,7 @@ func TestDRRWeightedShare(t *testing.T) {
 // is admitted, so a huge scan cannot wedge the scheduler.
 func TestDRRAntiLivelock(t *testing.T) {
 	d := newDRRSched()
-	d.push([]*serviceOp{drrOp("big", 1000)})
+	d.push([]*serviceOp{drrOp("big", 1000)}, true)
 	groups := d.grant(map[string]QoSClass{}, 10)
 	if len(groups) != 1 || len(groups[0]) != 1 {
 		t.Fatalf("expensive op not admitted: %v", groupClasses(groups))
@@ -117,7 +117,7 @@ func TestDRRCheapestGroupFirst(t *testing.T) {
 		drrOp("aheavy", 90),
 		drrOp("zlight", 2),
 		drrOp("mid", 40),
-	})
+	}, true)
 	groups := d.grant(map[string]QoSClass{}, 100)
 	if got := groupClasses(groups); len(got) != 3 ||
 		got[0] != "zlight" || got[1] != "mid" || got[2] != "aheavy" {
@@ -127,7 +127,7 @@ func TestDRRCheapestGroupFirst(t *testing.T) {
 	// Equal-cost groups fall back to class-name order — deterministic
 	// whatever map iteration did.
 	d2 := newDRRSched()
-	d2.push([]*serviceOp{drrOp("b", 5), drrOp("a", 5)})
+	d2.push([]*serviceOp{drrOp("b", 5), drrOp("a", 5)}, true)
 	groups = d2.grant(map[string]QoSClass{}, 100)
 	if got := groupClasses(groups); got[0] != "a" || got[1] != "b" {
 		t.Fatalf("tie order %v, want [a b]", got)
@@ -140,7 +140,7 @@ func TestDRRCheapestGroupFirst(t *testing.T) {
 // deferral).
 func TestDRRDrainAndUrgentPromotion(t *testing.T) {
 	d := newDRRSched()
-	d.push([]*serviceOp{drrOp("b", 5), drrOp("a", 5), drrOp("b", 5)})
+	d.push([]*serviceOp{drrOp("b", 5), drrOp("a", 5), drrOp("b", 5)}, true)
 	d.deficit["a"] = 3
 	groups := d.drain()
 	if got := groupClasses(groups); len(got) != 2 || got[0] != "a" || got[1] != "b" {
@@ -164,13 +164,47 @@ func TestDRRDrainAndUrgentPromotion(t *testing.T) {
 	dl.deadline = now.Add(time.Millisecond)
 	urgent := drrOp("rt", 5)
 	urgent.enqueued = now
-	d.push([]*serviceOp{aged, fresh, dl, urgent})
+	d.push([]*serviceOp{aged, fresh, dl, urgent}, true)
 	got := d.takeUrgent(classes, 100*time.Millisecond, now)
 	if len(got) != 3 {
 		t.Fatalf("takeUrgent pulled %d ops, want 3 (aged, deadline, urgent class)", len(got))
 	}
 	if d.count != 1 || len(d.pending["slow"]) != 1 || d.pending["slow"][0] != fresh {
 		t.Fatalf("fresh op not left in backlog (count %d)", d.count)
+	}
+}
+
+// TestUrgentFrontOrder: with fair share off every op queues in one
+// lane; the urgent front takes the deadline-carrying and over-age ops
+// out of it, ordered by effective deadline (explicit deadline, else
+// enqueue time + aging), and unbounded credit then admits the rest as
+// one group in submission order.
+func TestUrgentFrontOrder(t *testing.T) {
+	now := time.Now()
+	mk := func(deadline time.Time, age time.Duration) *serviceOp {
+		return &serviceOp{kind: opChunk, class: "c", deadline: deadline, enqueued: now.Add(-age)}
+	}
+	bulk1 := mk(time.Time{}, 0)
+	bulk2 := mk(time.Time{}, 0)
+	urgent := mk(now.Add(2*time.Millisecond), 0)
+	urgentSoon := mk(now.Add(time.Millisecond), 0)
+	aged := mk(time.Time{}, 50*time.Millisecond)
+
+	d := newDRRSched()
+	d.push([]*serviceOp{bulk1, urgent, bulk2, aged, urgentSoon}, false)
+	front := d.takeUrgent(nil, 10*time.Millisecond, now)
+	sortUrgent(front, 10*time.Millisecond)
+	// aged's effective deadline, enqueued+aging = now-40ms, is the
+	// oldest of all; then both deadline ops, soonest first.
+	if len(front) != 3 || front[0] != aged || front[1] != urgentSoon || front[2] != urgent {
+		t.Fatalf("urgent front wrong: %v", front)
+	}
+	groups := d.grant(nil, 0)
+	if len(groups) != 1 || len(groups[0]) != 2 || groups[0][0] != bulk1 || groups[0][1] != bulk2 {
+		t.Fatalf("bulk not admitted whole in submission order: %v", groups)
+	}
+	if d.count != 0 {
+		t.Fatalf("backlog %d after an unbounded grant", d.count)
 	}
 }
 
@@ -350,5 +384,88 @@ func TestStatsAccumulatePartial(t *testing.T) {
 	sum.Accumulate(Stats{Cells: 3})
 	if !sum.Partial {
 		t.Fatal("Partial lost in accumulation")
+	}
+}
+
+// TestAgingCountsUrgentOps: with deadline aging on and fair share off,
+// the ops the urgent front serves are counted in their class's
+// UrgentOps, exactly as under fair share.
+func TestAgingCountsUrgentOps(t *testing.T) {
+	_, cts := runAdmission(t, ServiceOptions{}, 10*time.Millisecond)
+	urgent := map[string]int64{}
+	for _, ct := range cts {
+		urgent[ct.Class] = ct.UrgentOps
+	}
+	// a1 (aged) and d1 (explicit deadline) are both bulk; the Urgent
+	// flag of class rt only applies under fair share.
+	if urgent["bulk"] != 2 || urgent["rt"] != 0 || urgent["int"] != 0 || urgent[""] != 0 {
+		t.Fatalf("UrgentOps per class %v, want bulk:2 only", urgent)
+	}
+}
+
+// TestQueueDepthCountsDeferred: ops DRR deferred are still awaiting
+// admission, so QueueDepth reports them until a later pass serves them,
+// and a gauge polled while a live loop defers reads 0 once every op has
+// been answered.
+func TestQueueDepthCountsDeferred(t *testing.T) {
+	v := testVolume(t)
+	svc := NewService(v, ServiceOptions{FairQuantum: 1})
+	defer svc.Close()
+	ops := make([]*serviceOp, 3)
+	for i := range ops {
+		ops[i] = &serviceOp{
+			kind:   opChunk,
+			policy: disk.SchedSPTF,
+			reply:  make(chan opResult, 1),
+			chunk:  Chunk{Reqs: []lvm.Request{{VLBN: int64(1000 * (i + 1)), Count: 8}}},
+		}
+	}
+	// Quantum 1 against cost-8 ops: each pass admits exactly one.
+	svc.serveWork(append([]*serviceOp(nil), ops...), 0)
+	if d := svc.QueueDepth(); d != 2 {
+		t.Fatalf("QueueDepth after one pass = %d, want the 2 deferred ops", d)
+	}
+	svc.serveWork(nil, 0)
+	if d := svc.QueueDepth(); d != 1 {
+		t.Fatalf("QueueDepth after two passes = %d, want 1", d)
+	}
+	svc.serveWork(nil, 0)
+	if d := svc.QueueDepth(); d != 0 {
+		t.Fatalf("QueueDepth after the backlog drained = %d, want 0", d)
+	}
+	for _, op := range ops {
+		if r := <-op.reply; r.err != nil {
+			t.Fatal(r.err)
+		}
+	}
+
+	deferredBefore := svc.ClassTotals()[0].Deferred
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				svc.QueueDepth()
+			}
+		}
+	}()
+	sess := svc.NewSession(SessionOptions{MaxInflight: 4})
+	chunks := randomChunks(rand.New(rand.NewSource(3)), v, 8, 10)
+	_, err := sess.RunPlan(context.Background(), chunkPlan(chunks), Options{})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := svc.QueueDepth(); d != 0 {
+		t.Fatalf("QueueDepth after the query returned = %d, want 0", d)
+	}
+	if cts := svc.ClassTotals(); len(cts) != 1 || cts[0].Deferred == deferredBefore {
+		t.Fatalf("live query never deferred under quantum 1: %+v", cts)
 	}
 }

@@ -53,14 +53,18 @@ type Service struct {
 	closed  bool
 	cache   *extentCache // owned by the loop; guarded by mu only for reconfiguration
 	totals  ServiceTotals
+	// backlog is the number of ops the fair scheduler holds deferred,
+	// published by the loop after every pass for QueueDepth; guarded by
+	// mu (the loop is its only writer).
+	backlog int
 	// perClass is the per-QoS-class slice of totals, keyed by class
 	// name; guarded by mu like totals.
 	perClass map[string]*ClassTotals
 
-	// classes is the QoS class registry and drr the deficit-round-robin
-	// backlog of the weighted-fair admission batcher. Both are owned by
-	// the loop goroutine: reconfiguration goes through the opQoSCfg
-	// control op, which the loop itself executes.
+	// classes is the QoS class registry and drr the admission
+	// scheduler's backlog (see qos.go). Both are owned by the loop
+	// goroutine: reconfiguration goes through the opQoSCfg control op,
+	// which the loop itself executes.
 	classes map[string]QoSClass
 	drr     *drrSched
 
@@ -87,9 +91,9 @@ type Service struct {
 // per-pass allocations.
 type svcScratch struct {
 	reads, writes []*serviceOp
-	kept          []lvm.Request // serveSingle's cache-probe survivor list
+	kept          []lvm.Request // lockstep single-chunk cache-probe survivors
 	rr, split     []lvm.Request // read-dependency screen buffers
-	merge         mergeScratch  // lockstep merged-batch plan buffers
+	merge         mergedPlan    // lockstep merged-batch plan
 	touched       map[string]bool
 	flushComp     map[int64]lvm.Completion
 }
@@ -103,41 +107,45 @@ type ServiceOptions struct {
 	// 0 means no cap (admit everything queued).
 	MaxBatch int
 	// BatchWindow is the time-based admission window: when positive, the
-	// loop waits the window out after noticing a non-empty queue before
-	// admitting it as a batch, so bursty concurrent clients coalesce
-	// into shared batches even when their submissions are microseconds
-	// apart. 0 (the default) admits immediately — bit-for-bit today's
+	// loop waits the window out before every admission pass — one over a
+	// non-empty queue, or one that only serves ops the fair scheduler
+	// deferred — so bursty concurrent clients coalesce into shared
+	// batches even when their submissions are microseconds apart, and
+	// under fair share each pass's credit paces a window's worth of
+	// arrivals. 0 (the default) admits immediately — bit-for-bit today's
 	// behavior. The window trades per-op latency for batching: a lone
 	// synchronous client pays the full window per chunk with nothing to
 	// coalesce against (pipelined sessions overlap the wait with
 	// planning), so enable it only for genuinely concurrent workloads.
-	// A pass whose queue holds a control op (Reset, Close drain, cache
-	// reconfiguration) skips the window, keeping those prompt; a queued
-	// request deadline or age cap (DeadlineAging) shortens the wait so
-	// the window never delays an urgent request past its deadline.
+	// A pass whose queue holds a control op (Reset, cache
+	// reconfiguration) or that follows Close skips the window, keeping
+	// those prompt; a pending request deadline or age cap (DeadlineAging)
+	// shortens the wait so the window never delays an urgent request
+	// past its deadline.
 	BatchWindow time.Duration
-	// DeadlineAging enables deadline/QoS-aware admission. When positive,
-	// every admission pass classifies its work ops: ops whose context
-	// carries a deadline, and ops that have already been queued for at
-	// least the aging duration, are urgent — they are served first, as
-	// their own admission batch ordered by effective deadline (explicit
-	// deadline, or enqueue time + aging for aged ops), ahead of — and
-	// never coalesced with — the pass's non-urgent bulk. An old or
-	// urgent request therefore bounds how long cross-query coalescing
-	// may delay it: at most one batch of similarly urgent peers. 0 (the
-	// default) disables classification — every pass admits in submission
-	// order, bit-for-bit the pre-QoS behavior.
+	// DeadlineAging turns on the admission scheduler's urgent front
+	// (see qos.go). When positive, ops whose context carries a deadline,
+	// and ops that have already been queued for at least the aging
+	// duration, are urgent — they are served first, as their own
+	// admission batch ordered by effective deadline (explicit deadline,
+	// or enqueue time + aging for aged ops), ahead of — and never
+	// coalesced with — the pass's non-urgent ops. An old or urgent
+	// request therefore bounds how long cross-query coalescing may delay
+	// it: at most one batch of similarly urgent peers. With 0 (the
+	// default) and FairQuantum 0 there is no urgent front: every pass
+	// admits in submission order.
 	DeadlineAging time.Duration
-	// FairQuantum enables weighted-fair (deficit-round-robin) admission
-	// when positive: each admission pass grants every backlogged QoS
-	// class FairQuantum × weight blocks of credit, admits each class's
-	// ops FIFO while the credit covers their simulated block cost, and
-	// defers the rest to later passes — so one class's burst can no
-	// longer monopolize an admission pass. Urgent work (explicit
-	// context deadline, Urgent class, or op aged past DeadlineAging)
-	// keeps strict priority ahead of the weighted shares. 0 (the
-	// default) disables DRR — admission is bit-identical to the
-	// FairQuantum-less service. See qos.go for the full contract.
+	// FairQuantum gives the admission scheduler one lane per QoS class
+	// with weighted-fair (deficit-round-robin) credit when positive:
+	// each admission pass grants every backlogged class FairQuantum ×
+	// weight blocks of credit, admits each class's ops FIFO while the
+	// credit covers their simulated block cost, and defers the rest to
+	// later passes — so one class's burst can no longer monopolize an
+	// admission pass. Urgent work (explicit context deadline, Urgent
+	// class, or op aged past DeadlineAging) keeps strict priority ahead
+	// of the weighted shares. 0 (the default) is one shared lane with
+	// unbounded credit: FIFO admission. See qos.go for the full
+	// contract.
 	FairQuantum int64
 	// Classes registers the QoS classes (weights, urgency) the fair
 	// scheduler and the class-partitioned extent cache use. Sessions
@@ -340,7 +348,7 @@ func (s *Service) applyQoS(quantum int64, classes []QoSClass) {
 	if quantum > 0 && len(classes) > 0 {
 		// The default class exists whenever fair sharing is on, so
 		// unlabelled sessions are a schedulable class of their own.
-		if _, ok := hasClass(classes, ""); !ok {
+		if !slices.ContainsFunc(classes, func(c QoSClass) bool { return c.Name == "" }) {
 			classes = append(slices.Clone(classes), QoSClass{Name: "", Weight: 1})
 		}
 	}
@@ -357,16 +365,6 @@ func (s *Service) applyQoS(quantum int64, classes []QoSClass) {
 	cache := s.cache
 	s.mu.Unlock()
 	cache.setShares(cacheShares(cache.capacity(), quantum, reg))
-}
-
-// hasClass reports whether a class list names a class.
-func hasClass(classes []QoSClass, name string) (QoSClass, bool) {
-	for _, c := range classes {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return QoSClass{}, false
 }
 
 // cacheShares computes the extent cache's per-class reserve floors:
@@ -580,10 +578,11 @@ func (s *Service) signalWake() {
 func (s *Service) loop() {
 	for {
 		s.mu.Lock()
-		if w := s.opts.BatchWindow; w > 0 && len(s.queue) > 0 && !s.queuedControl() {
-			// An urgent queued request bounds the wait: never sleep past
+		if w := s.opts.BatchWindow; w > 0 && (len(s.queue) > 0 || s.drr.count > 0) &&
+			!s.closed && !s.queuedControl() {
+			// An urgent pending request bounds the wait: never sleep past
 			// an explicit context deadline, nor past the point where a
-			// queued op's age reaches the QoS aging cap.
+			// pending op's age reaches the QoS aging cap.
 			if wake, ok := s.earliestWake(s.opts.DeadlineAging); ok {
 				if until := time.Until(wake); until < w {
 					w = until
@@ -611,7 +610,7 @@ func (s *Service) loop() {
 				// with, so the backlog is served out in one drain.
 				s.mu.Unlock()
 				if closed {
-					s.drainDeferred(aging)
+					s.drainDeferred()
 				} else {
 					s.serveWork(nil, aging)
 				}
@@ -690,9 +689,10 @@ func (s *Service) queuedControl() bool {
 }
 
 // earliestWake returns the soonest instant by which the admission
-// window should end on behalf of a queued urgent request: the earliest
-// explicit context deadline, or the earliest enqueue time plus the
-// aging cap when QoS admission is on (caller must hold mu).
+// window should end on behalf of a pending urgent request, queued or
+// deferred: the earliest explicit context deadline, or the earliest
+// enqueue time plus the aging cap when aging is on (caller must hold
+// mu; the backlog is the caller's own, the loop's).
 func (s *Service) earliestWake(aging time.Duration) (time.Time, bool) {
 	var wake time.Time
 	ok := false
@@ -701,13 +701,19 @@ func (s *Service) earliestWake(aging time.Duration) (time.Time, bool) {
 			wake, ok = t, true
 		}
 	}
-	for _, op := range s.queue {
-		if !op.deadline.IsZero() {
-			consider(op.deadline)
+	scan := func(ops []*serviceOp) {
+		for _, op := range ops {
+			if !op.deadline.IsZero() {
+				consider(op.deadline)
+			}
+			if aging > 0 {
+				consider(op.enqueued.Add(aging))
+			}
 		}
-		if aging > 0 {
-			consider(op.enqueued.Add(aging))
-		}
+	}
+	scan(s.queue)
+	for _, q := range s.drr.pending {
+		scan(q)
 	}
 	return wake, ok
 }
@@ -721,7 +727,7 @@ func (s *Service) process(batch []*serviceOp, aging time.Duration) {
 	isWork := func(k opKind) bool { return k == opChunk || k == opWrite }
 	for i := 0; i < len(batch); {
 		if !isWork(batch[i].kind) {
-			s.drainDeferred(aging)
+			s.drainDeferred()
 			// Control ops are pipeline barriers too: the deferred drain
 			// above may have dispatched, so drain after it.
 			s.plDrain()
@@ -740,47 +746,46 @@ func (s *Service) process(batch []*serviceOp, aging time.Duration) {
 
 // serveWork admits one run of work ops: ops whose context is already
 // cancelled or past its deadline are dropped first — before admission,
-// so they are never issued and charge no simulated I/O — then the QoS
-// scheduler takes over. With fair sharing off (FairQuantum 0) the
-// classifier (when DeadlineAging is on) carves urgent work into its
-// own front batch exactly as before; with fair sharing on the ops join
-// the per-class DRR backlog and one weighted admission pass runs:
-// urgent work first (strict priority, ordered by effective deadline),
-// then each backlogged class's granted ops as their own batch, never
-// coalescing across classes. MaxBatch caps each served batch's size.
-// A nil ops slice runs a pure backlog pass — how the loop drains
-// deferred work when the queue is empty.
+// so they are never issued and charge no simulated I/O — then the live
+// ops join the admission scheduler's backlog and one pass runs (see
+// qos.go): the urgent front first, when on (strict priority, ordered by
+// effective deadline), then each lane's granted ops as their own batch
+// — under fair share one lane per class, never coalescing across
+// classes; otherwise one lane admitting the whole pass in submission
+// order. MaxBatch caps each served batch's size. A nil ops slice runs
+// a pure backlog pass — how the loop drains deferred work when the
+// queue is empty.
 func (s *Service) serveWork(ops []*serviceOp, aging time.Duration) {
+	s.sweepDeferred()
 	live := s.dropCancelled(ops)
 	s.mu.Lock()
 	quantum := s.opts.FairQuantum
 	s.mu.Unlock()
-	if quantum <= 0 {
-		if aging <= 0 {
-			// Fast path: the whole pass is one batch in submission order
-			// (what qosGroups would return, minus its slice allocation).
-			if len(live) > 0 {
-				s.serveGroup(live)
-			}
-			return
+	s.drr.push(live, quantum > 0)
+	var urgent []*serviceOp
+	if quantum > 0 || aging > 0 {
+		classes := s.classes
+		if quantum <= 0 {
+			classes = nil // Urgent classes are a fair-share notion
 		}
-		for _, group := range qosGroups(live, aging, time.Now()) {
-			s.serveGroup(group)
-		}
-		return
+		urgent = s.drr.takeUrgent(classes, aging, time.Now())
 	}
-	s.drr.push(live)
-	s.sweepDeferred()
-	now := time.Now()
-	if urgent := s.drr.takeUrgent(s.classes, aging, now); len(urgent) > 0 {
+	groups := s.drr.grant(s.classes, quantum)
+	// What stays in the backlog is known now: publish it before any
+	// reply, so QueueDepth never counts an op its submitter has back.
+	s.markDeferred()
+	if len(urgent) > 0 {
 		sortUrgent(urgent, aging)
-		s.countUrgent(urgent)
+		s.mu.Lock()
+		for _, op := range urgent {
+			s.classTot(op.class).UrgentOps++
+		}
+		s.mu.Unlock()
 		s.serveGroup(urgent)
 	}
-	for _, group := range s.drr.grant(s.classes, quantum) {
+	for _, group := range groups {
 		s.serveGroup(group)
 	}
-	s.markDeferred()
 }
 
 // serveGroup serves one scheduler-admitted group in MaxBatch slices.
@@ -798,44 +803,32 @@ func (s *Service) serveGroup(group []*serviceOp) {
 // drainDeferred serves the entire DRR backlog immediately — per class
 // in sorted class order — forfeiting all credit. Runs ahead of control
 // barriers and on close.
-func (s *Service) drainDeferred(aging time.Duration) {
+func (s *Service) drainDeferred() {
 	for _, group := range s.drr.drain() {
 		s.serveGroup(s.dropCancelled(group))
 	}
+	s.markDeferred()
 }
 
 // sweepDeferred re-drops backlogged ops whose context died while they
 // were deferred, so a deferral never turns into simulated I/O for a
 // caller that already gave up.
 func (s *Service) sweepDeferred() {
-	if s.drr.count == 0 {
-		return
-	}
 	for name, q := range s.drr.pending {
-		if len(q) == 0 {
-			continue
-		}
 		kept := s.dropCancelled(q)
 		s.drr.count -= len(q) - len(kept)
 		s.drr.pending[name] = kept
 	}
 }
 
-// countUrgent tallies strict-priority service per class.
-func (s *Service) countUrgent(ops []*serviceOp) {
-	s.mu.Lock()
-	for _, op := range ops {
-		s.classTot(op.class).UrgentOps++
-	}
-	s.mu.Unlock()
-}
-
-// markDeferred counts ops DRR held back this pass — once per op.
+// markDeferred counts ops DRR holds back this pass — once per op — and
+// publishes the backlog size to QueueDepth.
 func (s *Service) markDeferred() {
-	if s.drr.count == 0 {
+	if s.drr.count == 0 && s.backlog == 0 {
 		return
 	}
 	s.mu.Lock()
+	s.backlog = s.drr.count
 	for _, q := range s.drr.pending {
 		for _, op := range q {
 			if !op.deferred {
@@ -886,95 +879,45 @@ func (s *Service) ClassTotals() []ClassTotals {
 // leave stale extents readable — the coherence contract survives
 // cancellation, only the simulated I/O is never issued or charged.
 func (s *Service) dropCancelled(ops []*serviceOp) []*serviceOp {
-	var cancelled, expired, invalidated int64
-	var perClass map[string]int64 // lazily allocated — drops are rare
 	live := ops[:0]
 	for _, op := range ops {
+		var err error
 		if op.ctx != nil {
-			if err := op.ctx.Err(); err != nil {
-				if errors.Is(err, context.DeadlineExceeded) {
-					expired++
-				} else {
-					cancelled++
-				}
-				var inv int64
-				if op.kind == opWrite {
-					// An in-flight read batch overlapping the dropped
-					// write's extents will insert them into the cache at
-					// retirement; invalidating before that insertion would
-					// leave stale data readable, so the invalidation stalls
-					// behind the batch.
-					if s.plOverlaps(op.chunk.Reqs) {
-						s.plDrain()
-					}
-					split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
-					s.scratch.split = split[:0]
-					for _, r := range split {
-						inv += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
-					}
-					invalidated += inv
-					if perClass == nil {
-						perClass = make(map[string]int64, 4)
-					}
-					perClass[op.class] += inv
-				}
-				op.reply <- opResult{err: err, invalidated: inv}
-				continue
+			err = op.ctx.Err()
+		}
+		if err == nil {
+			live = append(live, op)
+			continue
+		}
+		var inv int64
+		if op.kind == opWrite {
+			// An in-flight read batch overlapping the dropped write's
+			// extents will insert them into the cache at retirement;
+			// invalidating before that insertion would leave stale data
+			// readable, so the invalidation stalls behind the batch.
+			if s.plOverlaps(op.chunk.Reqs) {
+				s.plDrain()
+			}
+			split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
+			s.scratch.split = split[:0]
+			for _, r := range split {
+				inv += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
 			}
 		}
-		live = append(live, op)
-	}
-	if cancelled+expired > 0 {
 		s.mu.Lock()
-		s.totals.Cancelled += cancelled
-		s.totals.DeadlineExceeded += expired
-		s.totals.InvalidatedBlocks += invalidated
-		s.totals.Attributed.InvalidatedBlocks += invalidated
-		for class, inv := range perClass {
-			s.classTot(class).Attributed.InvalidatedBlocks += inv
+		if errors.Is(err, context.DeadlineExceeded) {
+			s.totals.DeadlineExceeded++
+		} else {
+			s.totals.Cancelled++
+		}
+		if op.kind == opWrite {
+			s.totals.InvalidatedBlocks += inv
+			s.attribute(op.class, nil, 0, toCells, Stats{InvalidatedBlocks: inv})
 		}
 		s.mu.Unlock()
+		op.reply <- opResult{err: err, invalidated: inv}
 	}
 	return live
-}
-
-// qosGroups splits one admission pass's live work ops into served
-// batches (see ServiceOptions.DeadlineAging). With aging off the whole
-// pass is one batch in submission order — the pre-QoS behavior, bit
-// for bit. With aging on, urgent ops (explicit context deadline, or
-// queued at least the aging duration) form their own front batch,
-// ordered by effective deadline, and are never coalesced with the
-// remaining bulk.
-func qosGroups(ops []*serviceOp, aging time.Duration, now time.Time) [][]*serviceOp {
-	if len(ops) == 0 {
-		return nil
-	}
-	if aging <= 0 {
-		return [][]*serviceOp{ops}
-	}
-	var urgent, bulk []*serviceOp
-	for _, op := range ops {
-		if !op.deadline.IsZero() || now.Sub(op.enqueued) >= aging {
-			urgent = append(urgent, op)
-		} else {
-			bulk = append(bulk, op)
-		}
-	}
-	eff := func(op *serviceOp) time.Time {
-		if !op.deadline.IsZero() {
-			return op.deadline
-		}
-		return op.enqueued.Add(aging)
-	}
-	slices.SortStableFunc(urgent, func(a, b *serviceOp) int { return eff(a).Compare(eff(b)) })
-	var groups [][]*serviceOp
-	if len(urgent) > 0 {
-		groups = append(groups, urgent)
-	}
-	if len(bulk) > 0 {
-		groups = append(groups, bulk)
-	}
-	return groups
 }
 
 func (s *Service) handleControl(op *serviceOp) {
@@ -1078,17 +1021,10 @@ func (s *Service) serveChunks(items []*serviceOp) {
 		}
 	}
 	switch {
-	case len(reads) == 0:
-	case depth > 0:
-		if len(reads) == 1 {
-			s.dispatchSingle(depth, reads[0])
-		} else {
-			s.dispatchMerged(depth, reads)
-		}
 	case len(reads) == 1:
-		s.serveSingle(reads[0])
-	default:
-		s.serveMerged(reads)
+		s.dispatchSingle(depth, reads[0])
+	case len(reads) > 1:
+		s.dispatchMerged(depth, reads)
 	}
 	for _, op := range writes {
 		if wbOn {
@@ -1111,19 +1047,14 @@ func (s *Service) serveChunks(items []*serviceOp) {
 	}
 }
 
-// splitAtSegmentEnds clips extents at member-disk segment boundaries:
-// a request must stay within one disk (the same invariant the read
-// coalescer enforces), but write submitters coalesce the blocks a
-// mutation dirties by plain VLBN adjacency, and an overflow extent
-// ending exactly at one disk's tail can sit adjacent to the next
-// disk's first block. Out-of-range addresses pass through unchanged so
-// ServeBatch surfaces the error to the submitter.
-func (s *Service) splitAtSegmentEnds(reqs []lvm.Request) []lvm.Request {
-	return s.splitInto(make([]lvm.Request, 0, len(reqs)), reqs)
-}
-
-// splitInto is splitAtSegmentEnds appending into a caller-provided
-// buffer, for hot-path callers that reuse loop scratch.
+// splitInto clips extents at member-disk segment boundaries, appending
+// to out (hot-path callers pass loop scratch): a request must stay
+// within one disk (the same invariant the read coalescer enforces), but
+// write submitters coalesce the blocks a mutation dirties by plain VLBN
+// adjacency, and an overflow extent ending exactly at one disk's tail
+// can sit adjacent to the next disk's first block. Out-of-range
+// addresses pass through unchanged so ServeBatch surfaces the error to
+// the submitter.
 func (s *Service) splitInto(out []lvm.Request, reqs []lvm.Request) []lvm.Request {
 	for _, r := range reqs {
 		for {
@@ -1158,7 +1089,7 @@ func (s *Service) splitInto(out []lvm.Request, reqs []lvm.Request) []lvm.Request
 // segments detects the no-op with one atomic load.
 //
 // Ordering matters: callers must re-derive segment boundaries
-// (splitAtSegmentEnds) AFTER a successful fault, because resolving
+// (splitInto) AFTER a successful fault, because resolving
 // splits segments and renumbers their indices.
 func (s *Service) cowFault(op *serviceOp, res *opResult) (int, error) {
 	spans := s.vol.CowSpans(op.chunk.Reqs)
@@ -1180,27 +1111,53 @@ func (s *Service) cowFault(op *serviceOp, res *opResult) (int, error) {
 	return len(spans), nil
 }
 
-// failWrite replies to a write op that failed before any I/O beyond its
-// COW fault could be charged, keeping the already-performed fault and
-// invalidation visible in the bookkeeping and the reply so the
-// session's totals still sum to Attributed.
-func (s *Service) failWrite(op *serviceOp, res opResult, faultReqs int, err error) {
+// finishWrite is the write path's single charge-and-reply step, for
+// served, absorbed and failed writes alike: whatever the op performed
+// (COW fault, invalidation, absorption, write I/O) stays visible to
+// later reads, so it is charged to the service and its class and handed
+// back in the reply — with err when a later step failed — and the
+// session's totals still sum to Attributed. issued counts the requests
+// that reached the disks.
+func (s *Service) finishWrite(op *serviceOp, res opResult, issued int, err error) {
 	s.mu.Lock()
 	t := &s.totals
 	t.WriteOps++
+	t.CoalescedWrites += res.coalesced
 	t.InvalidatedBlocks += res.invalidated
-	t.IssuedRequests += int64(faultReqs)
-	t.Attributed.AddWriteCompletions(res.comps, res.elapsed)
-	t.Attributed.InvalidatedBlocks += res.invalidated
-	t.Attributed.CowFaultBlocks += res.cowFaults
-	ct := s.classTot(op.class)
-	ct.Ops++
-	ct.Attributed.AddWriteCompletions(res.comps, res.elapsed)
-	ct.Attributed.InvalidatedBlocks += res.invalidated
-	ct.Attributed.CowFaultBlocks += res.cowFaults
+	t.IssuedRequests += int64(issued)
+	if s.wb != nil {
+		t.DirtyBlocks = s.wb.blocks
+	}
+	s.attribute(op.class, res.comps, res.elapsed, toWrites, Stats{
+		Writes:            res.written,
+		InvalidatedBlocks: res.invalidated,
+		CoalescedWrites:   res.coalesced,
+		CowFaultBlocks:    res.cowFaults,
+	}).Ops++
 	s.mu.Unlock()
 	res.err = err
 	op.reply <- res
+}
+
+// prepareWrite is both write paths' front: fault the op's COW target
+// tracks into private extents, clip its extents at segment ends — after
+// the resolve, whose segment splits move the boundaries — into loop
+// scratch (nothing reads op.chunk.Reqs once the write is answered), and
+// invalidate every cached extent they overlap. ok is false when the
+// fault failed and the op has been answered.
+func (s *Service) prepareWrite(op *serviceOp) (res opResult, faultReqs int, ok bool) {
+	faultReqs, err := s.cowFault(op, &res)
+	if err != nil {
+		s.finishWrite(op, opResult{}, 0, err)
+		return res, 0, false
+	}
+	split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
+	s.scratch.split = split[:0]
+	op.chunk.Reqs = split
+	for _, r := range split {
+		res.invalidated += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count)) // nil-safe
+	}
+	return res, faultReqs, true
 }
 
 // serveWrite applies one write op: fault any copy-on-write target
@@ -1211,52 +1168,21 @@ func (s *Service) failWrite(op *serviceOp, res opResult, faultReqs int, err erro
 // resolve, whose segment splits move the boundaries — so Write's
 // contract needs no per-disk precondition from its callers.
 func (s *Service) serveWrite(op *serviceOp) {
-	var res opResult
-	faultReqs, err := s.cowFault(op, &res)
-	if err != nil {
-		s.failWrite(op, opResult{}, 0, err)
+	res, faultReqs, ok := s.prepareWrite(op)
+	if !ok {
 		return
-	}
-	// The split result lives only until the reply below (nothing reads
-	// chunk.Reqs after a write is answered), so loop scratch is safe.
-	split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
-	s.scratch.split = split[:0]
-	op.chunk.Reqs = split
-	for _, r := range op.chunk.Reqs {
-		// invalidate is nil-safe when the cache is off.
-		res.invalidated += s.cache.invalidate(r.VLBN, r.VLBN+int64(r.Count))
 	}
 	if len(op.chunk.Reqs) > 0 {
 		comps, elapsed, err := s.vol.ServeBatch(op.chunk.Reqs, op.policy)
 		if err != nil {
-			// The fault and invalidation already happened and stay
-			// visible to later reads, so they must stay visible in the
-			// bookkeeping too — and in the reply, so the session's
-			// totals match.
-			s.failWrite(op, res, faultReqs, err)
+			// The fault and invalidation already happened: charge them.
+			s.finishWrite(op, res, faultReqs, err)
 			return
 		}
 		res.comps = append(res.comps, comps...)
 		res.elapsed += elapsed
 	}
-	s.mu.Lock()
-	t := &s.totals
-	t.WriteOps++
-	t.InvalidatedBlocks += res.invalidated
-	t.IssuedRequests += int64(len(op.chunk.Reqs) + faultReqs)
-	t.Attributed.AddWriteCompletions(res.comps, res.elapsed)
-	t.Attributed.InvalidatedBlocks += res.invalidated
-	t.Attributed.CowFaultBlocks += res.cowFaults
-	ct := s.classTot(op.class)
-	ct.Ops++
-	ct.Attributed.AddWriteCompletions(res.comps, res.elapsed)
-	ct.Attributed.InvalidatedBlocks += res.invalidated
-	ct.Attributed.CowFaultBlocks += res.cowFaults
-	s.mu.Unlock()
-	if op.trace != nil && len(res.comps) > 0 {
-		op.trace(res.comps)
-	}
-	op.reply <- res
+	s.finishWrite(op, res, len(op.chunk.Reqs)+faultReqs, nil)
 }
 
 // absorbWrite buffers one write op in the write-back dirty set instead
@@ -1287,22 +1213,13 @@ func (s *Service) absorbWrite(op *serviceOp) {
 			return
 		}
 	}
-	var res opResult
-	faultReqs, err := s.cowFault(op, &res)
-	if err != nil {
-		s.failWrite(op, opResult{}, 0, err)
+	res, faultReqs, ok := s.prepareWrite(op)
+	if !ok {
 		return
 	}
-	// Split after the resolve: it may have split segments under the
-	// target blocks, moving the boundaries the dirty buffer records.
-	// Scratch-backed like serveWrite's split: dead once the op replies.
-	split := s.splitInto(s.scratch.split[:0], op.chunk.Reqs)
-	s.scratch.split = split[:0]
-	op.chunk.Reqs = split
 	now := time.Now()
 	for _, r := range op.chunk.Reqs {
 		start, end := r.VLBN, r.VLBN+int64(r.Count)
-		res.invalidated += s.cache.invalidate(start, end) // nil-safe
 		di, lbn, _ := s.vol.Locate(start)
 		boundary := start - lbn + s.vol.DiskBlocks(di)
 		if s.wb.absorb(op.owner, start, end, boundary, now) {
@@ -1310,27 +1227,7 @@ func (s *Service) absorbWrite(op *serviceOp) {
 		}
 		res.written += int64(r.Count)
 	}
-	s.mu.Lock()
-	t := &s.totals
-	t.WriteOps++
-	t.CoalescedWrites += res.coalesced
-	t.InvalidatedBlocks += res.invalidated
-	t.IssuedRequests += int64(faultReqs)
-	t.DirtyBlocks = s.wb.blocks
-	t.Attributed.AddWriteCompletions(res.comps, res.elapsed)
-	t.Attributed.Writes += res.written
-	t.Attributed.InvalidatedBlocks += res.invalidated
-	t.Attributed.CoalescedWrites += res.coalesced
-	t.Attributed.CowFaultBlocks += res.cowFaults
-	ct := s.classTot(op.class)
-	ct.Ops++
-	ct.Attributed.AddWriteCompletions(res.comps, res.elapsed)
-	ct.Attributed.Writes += res.written
-	ct.Attributed.InvalidatedBlocks += res.invalidated
-	ct.Attributed.CoalescedWrites += res.coalesced
-	ct.Attributed.CowFaultBlocks += res.cowFaults
-	s.mu.Unlock()
-	op.reply <- res
+	s.finishWrite(op, res, faultReqs, nil)
 }
 
 // flushDirty group-commits the entire dirty buffer as one SPTF batch —
@@ -1338,7 +1235,7 @@ func (s *Service) absorbWrite(op *serviceOp) {
 // trajectory instead of paying its own positioning cost. The batch's
 // per-extent costs are split among the sessions whose buffered writes
 // dirtied the extent, in proportion to the blocks each asked for (the
-// same split serveMerged applies to shared read extents), and folded
+// same split merged read batches apply to shared extents), and folded
 // into both the sessions' lifetime Totals and Attributed — so summing
 // session totals still reproduces Attributed after a flush. Each
 // contributing session observes the full batch ElapsedMs and counts
@@ -1394,17 +1291,9 @@ func (s *Service) flushDirty() error {
 				st = &Stats{}
 				perOwner[owner] = st
 			}
-			st.AddFlushCompletions([]lvm.Completion{{
-				Req:     lvm.Request{VLBN: e.start, Count: int(n)},
-				DiskIdx: c.DiskIdx,
-				Cost: disk.AccessCost{
-					CommandMs:  c.Cost.CommandMs * f,
-					SeekMs:     c.Cost.SeekMs * f,
-					RotateMs:   c.Cost.RotateMs * f,
-					TransferMs: c.Cost.TransferMs * f,
-				},
-				FinishMs: c.FinishMs,
-			}}, 0)
+			st.addCompletions([]lvm.Completion{
+				share(c, lvm.Request{VLBN: e.start, Count: int(n)}, f),
+			}, 0, toNone)
 		}
 	}
 	s.mu.Lock()
@@ -1412,22 +1301,17 @@ func (s *Service) flushDirty() error {
 	t.FlushBatches++
 	t.IssuedRequests += int64(len(reqs))
 	t.DirtyBlocks = 0
-	touched := s.scratch.touched
-	clear(touched)
+	clear(s.scratch.touched)
 	for owner, st := range perOwner {
 		st.FlushBatches = 1
-		t.Attributed.Accumulate(*st)
 		class := ""
 		if owner != nil {
 			class = owner.class
 		}
-		s.classTot(class).Attributed.Accumulate(*st)
-		touched[class] = true
+		s.attribute(class, nil, 0, toNone, *st)
+		s.scratch.touched[class] = true
 	}
-	t.Attributed.ElapsedMs += elapsed
-	for class := range touched {
-		s.classTot(class).Attributed.ElapsedMs += elapsed
-	}
+	s.attributeElapsed(elapsed)
 	s.mu.Unlock()
 	for owner, st := range perOwner {
 		st.ElapsedMs = elapsed
@@ -1441,14 +1325,17 @@ func (s *Service) flushDirty() error {
 // planSingle is a lone chunk's schedule stage: probe the cache,
 // folding hits into res, and return the requests that must reach the
 // disks. With the cache off the chunk's own request slice is returned
-// untouched; otherwise the survivors are appended to dst[:0] (callers
-// that reuse scratch must not store the result back when the cache is
-// off — it would alias the submitter's memory).
-func (s *Service) planSingle(op *serviceOp, res *opResult, dst []lvm.Request) []lvm.Request {
+// untouched; otherwise the survivors are collected into the loop's
+// probe buffer when the plan dies with the call (lockstep), or into a
+// fresh slice that can ride an in-flight batch.
+func (s *Service) planSingle(op *serviceOp, res *opResult, lockstep bool) []lvm.Request {
 	if s.cache == nil {
 		return op.chunk.Reqs
 	}
-	kept := dst[:0]
+	var kept []lvm.Request
+	if lockstep {
+		kept = s.scratch.kept[:0]
+	}
 	for _, r := range op.chunk.Reqs {
 		if s.cache.covered(r.VLBN, r.VLBN+int64(r.Count)) {
 			res.hits++
@@ -1457,6 +1344,9 @@ func (s *Service) planSingle(op *serviceOp, res *opResult, dst []lvm.Request) []
 		}
 		res.misses++
 		kept = append(kept, r)
+	}
+	if lockstep {
+		s.scratch.kept = kept[:0] // keep the grown probe buffer
 	}
 	return kept
 }
@@ -1471,34 +1361,11 @@ func (s *Service) finishSingle(op *serviceOp, res opResult, issued int, comps []
 			s.cache.insertFor(c.Req.VLBN, c.Req.VLBN+int64(c.Req.Count), op.class) // nil-safe
 		}
 	}
-	s.account1(op, &res, int64(issued), res.elapsed)
+	s.account([]*serviceOp{op}, []opResult{res}, int64(issued), res.elapsed)
 	if op.trace != nil && len(res.comps) > 0 {
 		op.trace(res.comps)
 	}
 	op.reply <- res
-}
-
-// serveSingle services a lone chunk exactly as Run would: the planner's
-// requests, the chunk's policy, no re-coalescing. With the cache off
-// this path is bit-identical to the synchronous engine. This is the
-// lockstep (depth-0) plan→dispatch→finish path; dispatchSingle is the
-// pipelined one.
-func (s *Service) serveSingle(op *serviceOp) {
-	var res opResult
-	reqs := s.planSingle(op, &res, s.scratch.kept)
-	if s.cache != nil {
-		s.scratch.kept = reqs[:0] // keep the grown probe buffer
-	}
-	if len(reqs) > 0 {
-		comps, elapsed, err := s.vol.ServeBatch(reqs, op.policy)
-		if err != nil {
-			op.reply <- opResult{err: err}
-			return
-		}
-		s.finishSingle(op, res, len(reqs), comps, elapsed)
-		return
-	}
-	s.finishSingle(op, res, 0, nil, 0)
 }
 
 // mergeEntry ties one item's request to its slot in a merged plan.
@@ -1507,11 +1374,15 @@ type mergeEntry struct {
 	req  lvm.Request
 }
 
-// mergeScratch is the buffer set one merged plan builds into. The loop
-// owns one (svcScratch.merge) for the lockstep path and reuses it
-// across batches; each in-flight pipelined batch carries its own,
-// since its plan must survive until retirement.
-type mergeScratch struct {
+// mergedPlan is one planned multi-chunk read batch: the items, the
+// batch's issue policy, and the buffers holding the coalesced extents
+// and per-item results. The loop owns one (svcScratch.merge) for
+// lockstep batches and reuses it across batches; each in-flight
+// pipelined batch carries its own, since its plan must survive until
+// retirement.
+type mergedPlan struct {
+	items   []*serviceOp
+	policy  disk.SchedPolicy
 	entries []mergeEntry
 	reqs    []lvm.Request // the coalesced extents to issue
 	// members[k] lists the entry indices merged into extent reqs[k].
@@ -1520,38 +1391,30 @@ type mergeScratch struct {
 	compAt  map[int64]lvm.Completion
 }
 
-// reset readies the scratch for a plan over n items, reusing every
-// backing allocation from earlier plans.
-func (sc *mergeScratch) reset(n int) {
-	sc.entries = sc.entries[:0]
-	sc.reqs = sc.reqs[:0]
-	sc.members = sc.members[:0]
-	if cap(sc.results) < n {
-		sc.results = make([]opResult, n)
+// reset readies the plan for items, reusing every backing allocation
+// from earlier plans.
+func (mp *mergedPlan) reset(items []*serviceOp) {
+	mp.items = items
+	mp.entries = mp.entries[:0]
+	mp.reqs = mp.reqs[:0]
+	mp.members = mp.members[:0]
+	if n := len(items); cap(mp.results) < n {
+		mp.results = make([]opResult, n)
 	} else {
-		sc.results = sc.results[:n]
-		clear(sc.results)
+		mp.results = mp.results[:n]
+		clear(mp.results)
 	}
 }
 
 // pushMember opens extent slot k = len(members) holding one entry
 // index, reusing the retained inner slice when one exists.
-func (sc *mergeScratch) pushMember(idx int) {
-	if n := len(sc.members); n < cap(sc.members) {
-		sc.members = sc.members[:n+1]
-		sc.members[n] = append(sc.members[n][:0], idx)
+func (mp *mergedPlan) pushMember(idx int) {
+	if n := len(mp.members); n < cap(mp.members) {
+		mp.members = mp.members[:n+1]
+		mp.members[n] = append(mp.members[n][:0], idx)
 		return
 	}
-	sc.members = append(sc.members, []int{idx})
-}
-
-// mergedPlan is one planned multi-chunk read batch: the items, the
-// scratch holding the coalesced extents and per-item results, and the
-// batch's issue policy.
-type mergedPlan struct {
-	items  []*serviceOp
-	sc     *mergeScratch
-	policy disk.SchedPolicy
+	mp.members = append(mp.members, []int{idx})
 }
 
 // fail replies the error to every item of the plan.
@@ -1566,28 +1429,28 @@ func (mp *mergedPlan) fail(err error) {
 // extents (merging overlap and exact adjacency, never across a
 // disk-segment boundary), and pick the batch policy — the chunks'
 // unanimous policy, or SPTF when the batch mixes policies (cross-query
-// order is the drive's to choose). Returns ok=false after replying the
-// error to every item when an extent fails to locate.
-func (s *Service) planMerged(items []*serviceOp, sc *mergeScratch) (*mergedPlan, bool) {
-	sc.reset(len(items))
-	mp := &mergedPlan{items: items, sc: sc}
+// order is the drive's to choose) — building into mp. Returns false
+// after replying the error to every item when an extent fails to
+// locate.
+func (s *Service) planMerged(items []*serviceOp, mp *mergedPlan) bool {
+	mp.reset(items)
 	for i, it := range items {
 		for _, r := range it.chunk.Reqs {
 			if s.cache != nil {
 				if s.cache.covered(r.VLBN, r.VLBN+int64(r.Count)) {
-					sc.results[i].hits++
-					sc.results[i].hitCells += int64(r.Count)
+					mp.results[i].hits++
+					mp.results[i].hitCells += int64(r.Count)
 					continue
 				}
-				sc.results[i].misses++
+				mp.results[i].misses++
 			}
-			sc.entries = append(sc.entries, mergeEntry{item: i, req: r})
+			mp.entries = append(mp.entries, mergeEntry{item: i, req: r})
 		}
 	}
-	if len(sc.entries) == 0 {
-		return mp, true
+	if len(mp.entries) == 0 {
+		return true
 	}
-	slices.SortStableFunc(sc.entries, func(a, b mergeEntry) int {
+	slices.SortStableFunc(mp.entries, func(a, b mergeEntry) int {
 		switch {
 		case a.req.VLBN != b.req.VLBN:
 			if a.req.VLBN < b.req.VLBN {
@@ -1599,11 +1462,11 @@ func (s *Service) planMerged(items []*serviceOp, sc *mergeScratch) (*mergedPlan,
 		}
 	})
 	var boundary int64 // end VLBN of the current extent's disk segment
-	for idx, e := range sc.entries {
+	for idx, e := range mp.entries {
 		start := e.req.VLBN
 		end := start + int64(e.req.Count)
-		if n := len(sc.reqs); n > 0 {
-			last := &sc.reqs[n-1]
+		if n := len(mp.reqs); n > 0 {
+			last := &mp.reqs[n-1]
 			lastEnd := last.VLBN + int64(last.Count)
 			// Merge overlap or exact adjacency, but never across a
 			// disk-segment boundary: each original request lies in one
@@ -1612,18 +1475,18 @@ func (s *Service) planMerged(items []*serviceOp, sc *mergeScratch) (*mergedPlan,
 				if end > lastEnd {
 					last.Count = int(end - last.VLBN)
 				}
-				sc.members[n-1] = append(sc.members[n-1], idx)
+				mp.members[n-1] = append(mp.members[n-1], idx)
 				continue
 			}
 		}
 		di, lbn, err := s.vol.Locate(start)
 		if err != nil {
 			mp.fail(err)
-			return nil, false
+			return false
 		}
 		boundary = start - lbn + s.vol.DiskBlocks(di)
-		sc.reqs = append(sc.reqs, lvm.Request{VLBN: start, Count: e.req.Count})
-		sc.pushMember(idx)
+		mp.reqs = append(mp.reqs, lvm.Request{VLBN: start, Count: e.req.Count})
+		mp.pushMember(idx)
 	}
 	mp.policy = items[0].policy
 	for _, it := range items[1:] {
@@ -1632,7 +1495,7 @@ func (s *Service) planMerged(items []*serviceOp, sc *mergeScratch) (*mergedPlan,
 			break
 		}
 	}
-	return mp, true
+	return true
 }
 
 // finishMerged is a merged batch's completion stage: map each served
@@ -1641,80 +1504,63 @@ func (s *Service) planMerged(items []*serviceOp, sc *mergeScratch) (*mergedPlan,
 // queries are read once; every query is still credited its own cells),
 // insert the extents into the cache, account, trace, reply.
 func (s *Service) finishMerged(mp *mergedPlan, comps []lvm.Completion, elapsed float64) {
-	sc, items := mp.sc, mp.items
-	if len(sc.reqs) > 0 {
+	items := mp.items
+	if len(mp.reqs) > 0 {
 		// Extents are disjoint, so a completion maps back by start VLBN.
-		if sc.compAt == nil {
-			sc.compAt = make(map[int64]lvm.Completion, len(comps))
+		if mp.compAt == nil {
+			mp.compAt = make(map[int64]lvm.Completion, len(comps))
 		} else {
-			clear(sc.compAt)
+			clear(mp.compAt)
 		}
 		for _, c := range comps {
-			sc.compAt[c.Req.VLBN] = c
+			mp.compAt[c.Req.VLBN] = c
 		}
-		for k, r := range sc.reqs {
-			c := sc.compAt[r.VLBN]
+		for k, r := range mp.reqs {
+			c := mp.compAt[r.VLBN]
 			// A shared extent is tagged with its first contributor's class.
-			s.cache.insertFor(r.VLBN, r.VLBN+int64(r.Count), items[sc.entries[sc.members[k][0]].item].class) // nil-safe
-			if len(sc.members[k]) == 1 {
-				e := sc.entries[sc.members[k][0]]
-				sc.results[e.item].comps = append(sc.results[e.item].comps, c)
+			s.cache.insertFor(r.VLBN, r.VLBN+int64(r.Count), items[mp.entries[mp.members[k][0]].item].class) // nil-safe
+			if len(mp.members[k]) == 1 {
+				e := mp.entries[mp.members[k][0]]
+				mp.results[e.item].comps = append(mp.results[e.item].comps, c)
 				continue
 			}
 			var owned int64
-			for _, mi := range sc.members[k] {
-				owned += int64(sc.entries[mi].req.Count)
+			for _, mi := range mp.members[k] {
+				owned += int64(mp.entries[mi].req.Count)
 			}
-			for _, mi := range sc.members[k] {
-				e := sc.entries[mi]
+			for _, mi := range mp.members[k] {
+				e := mp.entries[mi]
 				f := float64(e.req.Count) / float64(owned)
-				sc.results[e.item].comps = append(sc.results[e.item].comps, lvm.Completion{
-					Req:     e.req,
-					DiskIdx: c.DiskIdx,
-					Cost: disk.AccessCost{
-						CommandMs:  c.Cost.CommandMs * f,
-						SeekMs:     c.Cost.SeekMs * f,
-						RotateMs:   c.Cost.RotateMs * f,
-						TransferMs: c.Cost.TransferMs * f,
-					},
-					FinishMs: c.FinishMs,
-				})
+				mp.results[e.item].comps = append(mp.results[e.item].comps, share(c, e.req, f))
 			}
 		}
 	}
-	for i := range sc.results {
-		sc.results[i].elapsed = elapsed
+	for i := range mp.results {
+		mp.results[i].elapsed = elapsed
 	}
-	s.account(items, sc.results, int64(len(sc.reqs)), elapsed)
+	s.account(items, mp.results, int64(len(mp.reqs)), elapsed)
 	for i, it := range items {
-		if it.trace != nil && len(sc.results[i].comps) > 0 {
-			it.trace(sc.results[i].comps)
+		if it.trace != nil && len(mp.results[i].comps) > 0 {
+			it.trace(mp.results[i].comps)
 		}
-		it.reply <- sc.results[i]
+		it.reply <- mp.results[i]
 	}
 }
 
-// serveMerged coalesces the batch's requests across queries into shared
-// extents, serves them as one batch, and splits each served extent's
-// cost among its contributors. This is the lockstep (depth-0)
-// plan→dispatch→finish path, reusing the loop's merge scratch;
-// dispatchMerged is the pipelined one.
-func (s *Service) serveMerged(items []*serviceOp) {
-	mp, ok := s.planMerged(items, &s.scratch.merge)
-	if !ok {
-		return
+// share is one contributor's part of a coalesced extent's completion
+// c: credited as req, with every cost component scaled by f.
+func share(c lvm.Completion, req lvm.Request, f float64) lvm.Completion {
+	return lvm.Completion{
+		Req:     req,
+		DiskIdx: c.DiskIdx,
+		Cost: disk.AccessCost{
+			CommandMs:  c.Cost.CommandMs * f,
+			SeekMs:     c.Cost.SeekMs * f,
+			RotateMs:   c.Cost.RotateMs * f,
+			TransferMs: c.Cost.TransferMs * f,
+		},
+		FinishMs: c.FinishMs,
 	}
-	var comps []lvm.Completion
-	var elapsed float64
-	if len(mp.sc.reqs) > 0 {
-		var err error
-		comps, elapsed, err = s.vol.ServeBatch(mp.sc.reqs, mp.policy)
-		if err != nil {
-			mp.fail(err)
-			return
-		}
-	}
-	s.finishMerged(mp, comps, elapsed)
 }
 
 // account folds one served admission batch into the service totals,
@@ -1727,59 +1573,44 @@ func (s *Service) account(items []*serviceOp, results []opResult, issued int64, 
 	if len(items) > 1 {
 		t.MergedBatches++
 	}
-	if len(items) > t.MaxBatchChunks {
-		t.MaxBatchChunks = len(items)
-	}
+	t.MaxBatchChunks = max(t.MaxBatchChunks, len(items))
 	t.IssuedRequests += issued
-	touched := s.scratch.touched
-	clear(touched)
+	clear(s.scratch.touched)
 	for i, it := range items {
 		r := &results[i]
-		t.Attributed.AddCompletions(r.comps, 0)
-		t.Attributed.Padding += it.chunk.Padding
-		t.Attributed.Cells += r.hitCells
-		t.Attributed.CacheHits += r.hits
-		t.Attributed.CacheMisses += r.misses
-		ct := s.classTot(it.class)
-		ct.Ops++
-		ct.Attributed.AddCompletions(r.comps, 0)
-		ct.Attributed.Padding += it.chunk.Padding
-		ct.Attributed.Cells += r.hitCells
-		ct.Attributed.CacheHits += r.hits
-		ct.Attributed.CacheMisses += r.misses
-		touched[it.class] = true
+		s.attribute(it.class, r.comps, 0, toCells, Stats{
+			Padding:     it.chunk.Padding,
+			Cells:       r.hitCells,
+			CacheHits:   r.hits,
+			CacheMisses: r.misses,
+		}).Ops++
+		s.scratch.touched[it.class] = true
 	}
-	t.Attributed.ElapsedMs += elapsed
-	// A shared batch's elapsed time is observed once per contributing
-	// class — like sessions, summed class ElapsedMs is not additive.
-	for class := range touched {
-		s.classTot(class).Attributed.ElapsedMs += elapsed
-	}
+	s.attributeElapsed(elapsed)
 }
 
-// account1 is account for a single-chunk batch — the same folds
-// without the per-item loop's slice and map traffic.
-func (s *Service) account1(op *serviceOp, r *opResult, issued int64, elapsed float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := &s.totals
-	t.Batches++
-	if t.MaxBatchChunks < 1 {
-		t.MaxBatchChunks = 1
+// attribute is the one attribution fold: it folds one op's share of a
+// served batch into the service's Attributed and into its class's, the
+// same fold on both sides — the completions one by one, then the op's
+// tallies (integer counters, or a flush share's pre-summed Stats) — so
+// the class slices sum to the service's field for field. Returns the
+// class's bucket. Caller holds mu.
+func (s *Service) attribute(class string, comps []lvm.Completion, elapsed float64, sink blockSink, tally Stats) *ClassTotals {
+	ct := s.classTot(class)
+	for _, st := range [...]*Stats{&s.totals.Attributed, &ct.Attributed} {
+		st.addCompletions(comps, elapsed, sink)
+		st.Accumulate(tally)
 	}
-	t.IssuedRequests += issued
-	t.Attributed.AddCompletions(r.comps, 0)
-	t.Attributed.Padding += op.chunk.Padding
-	t.Attributed.Cells += r.hitCells
-	t.Attributed.CacheHits += r.hits
-	t.Attributed.CacheMisses += r.misses
-	ct := s.classTot(op.class)
-	ct.Ops++
-	ct.Attributed.AddCompletions(r.comps, 0)
-	ct.Attributed.Padding += op.chunk.Padding
-	ct.Attributed.Cells += r.hitCells
-	ct.Attributed.CacheHits += r.hits
-	ct.Attributed.CacheMisses += r.misses
-	t.Attributed.ElapsedMs += elapsed
-	ct.Attributed.ElapsedMs += elapsed
+	return ct
+}
+
+// attributeElapsed folds a shared batch's elapsed time once into the
+// service's Attributed and once per contributing class marked in
+// scratch.touched — like sessions, summed class ElapsedMs is not
+// additive. Caller holds mu.
+func (s *Service) attributeElapsed(elapsed float64) {
+	s.totals.Attributed.ElapsedMs += elapsed
+	for class := range s.scratch.touched {
+		s.classTot(class).Attributed.ElapsedMs += elapsed
+	}
 }

@@ -201,7 +201,7 @@ func TestServeMergedAttribution(t *testing.T) {
 		lvm.Request{VLBN: 5000, Count: 8},
 		lvm.Request{VLBN: 1024, Count: 8}, // adjacent to the merged [1000,1024)
 	)
-	svc.serveMerged([]*serviceOp{a, b})
+	svc.dispatchMerged(0, []*serviceOp{a, b})
 	ra, rb := <-a.reply, <-b.reply
 	if ra.err != nil || rb.err != nil {
 		t.Fatal(ra.err, rb.err)
@@ -266,7 +266,7 @@ func TestServeMergedRespectsDiskBoundaries(t *testing.T) {
 		chunk: Chunk{Reqs: []lvm.Request{{VLBN: edge - 8, Count: 8}}}}
 	b := &serviceOp{kind: opChunk, policy: disk.SchedSPTF, reply: make(chan opResult, 1),
 		chunk: Chunk{Reqs: []lvm.Request{{VLBN: edge, Count: 8}}}}
-	svc.serveMerged([]*serviceOp{a, b})
+	svc.dispatchMerged(0, []*serviceOp{a, b})
 	ra, rb := <-a.reply, <-b.reply
 	if ra.err != nil || rb.err != nil {
 		t.Fatal(ra.err, rb.err)

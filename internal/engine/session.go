@@ -161,21 +161,20 @@ func (s *Session) RunPlan(ctx context.Context, p Plan, opts Options) (Stats, err
 			st.countContextErr(r.err)
 			return
 		}
-		st.AddCompletions(r.comps, r.elapsed)
-		st.Padding += op.chunk.Padding
-		st.Cells += r.hitCells
-		st.CacheHits += r.hits
-		st.CacheMisses += r.misses
+		add := func(x *Stats) {
+			x.AddCompletions(r.comps, r.elapsed)
+			x.Padding += op.chunk.Padding
+			x.Cells += r.hitCells
+			x.CacheHits += r.hits
+			x.CacheMisses += r.misses
+		}
+		add(&st)
 		if opts.OnChunk != nil {
 			// Rebuild the chunk's own delta from its results instead of
 			// diffing st, so the query's running totals accumulate in
 			// exactly the same order whether streaming is on or off.
 			var d Stats
-			d.AddCompletions(r.comps, r.elapsed)
-			d.Padding = op.chunk.Padding
-			d.Cells += r.hitCells
-			d.CacheHits = r.hits
-			d.CacheMisses = r.misses
+			add(&d)
 			opts.OnChunk(d)
 		}
 	}
@@ -288,7 +287,7 @@ func (s *Session) Write(ctx context.Context, reqs []lvm.Request, policy disk.Sch
 		// ignores.
 		st.countContextErr(r.err)
 	}
-	st.AddWriteCompletions(r.comps, r.elapsed)
+	st.addCompletions(r.comps, r.elapsed, toWrites)
 	// Write-back absorption acknowledges the op with zero I/O cost: the
 	// blocks land in Writes here, at absorb time, and the deferred I/O
 	// is credited to the session's lifetime totals when the group commit

@@ -37,8 +37,8 @@ import (
 // Cost attribution: a write op's submitter is acknowledged at absorb
 // time with zero I/O cost; the flush batch's cost is attributed to the
 // sessions whose buffered writes it commits, per dirty extent in
-// proportion to the blocks each asked for (the same split serveMerged
-// uses for shared read extents), and folded into their lifetime
+// proportion to the blocks each asked for (the same split merged read
+// batches use for shared extents), and folded into their lifetime
 // Totals. Summing session Totals therefore still reproduces
 // ServiceTotals.Attributed for issued work, ElapsedMs aside.
 
@@ -80,8 +80,8 @@ func (o WriteBackOptions) withDefaults() WriteBackOptions {
 // clipped to a single disk segment (boundary is the segment's end
 // VLBN, so extents never merge across member disks). contribs records
 // how many blocks each submitting session asked to write here —
-// re-writes of already-dirty blocks count again, mirroring how
-// serveMerged credits overlapping readers — and since is when the
+// re-writes of already-dirty blocks count again, mirroring how merged
+// read batches credit overlapping readers — and since is when the
 // extent first became dirty (merging keeps the oldest timestamp, so
 // the interval trigger bounds the oldest buffered write).
 type dirtyExtent struct {
